@@ -61,7 +61,9 @@ int Run() {
   // Load subscriptions through the wire too (they define the schema names).
   SchemaRegistry names;
   for (AttributeId a = 0; a < spec.num_attributes; ++a) {
-    names.InternAttribute("a" + std::to_string(a));
+    std::string name = "a";
+    name += std::to_string(a);
+    names.InternAttribute(name);
   }
   {
     for (const Subscription& s : subs) {

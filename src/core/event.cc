@@ -53,8 +53,10 @@ std::string Event::ToString() const {
   std::string out = "(";
   for (size_t i = 0; i < pairs_.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "a" + std::to_string(pairs_[i].attribute) + "=" +
-           std::to_string(pairs_[i].value);
+    out += 'a';
+    out += std::to_string(pairs_[i].attribute);
+    out += '=';
+    out += std::to_string(pairs_[i].value);
   }
   out += ")";
   return out;

@@ -10,6 +10,13 @@
 
 namespace vfps {
 
+namespace {
+
+/// Cluster lists a sweep redistributes per subscription change.
+constexpr uint64_t kSweepChunk = 64;
+
+}  // namespace
+
 DynamicMatcher::DynamicMatcher(DynamicOptions options, bool use_prefetch,
                                uint32_t observe_sample_rate)
     : ClusteredMatcherBase(use_prefetch, observe_sample_rate),
@@ -48,7 +55,7 @@ Status DynamicMatcher::RemoveSubscription(SubscriptionId id) {
 void DynamicMatcher::CountChangeAndMaybeSweep() {
   if (options_.sweep_period == 0 || in_maintenance_) return;
   if (sweep_active_) {
-    IncrementalSweepStep();
+    SweepStep();
     return;
   }
   if (++changes_since_sweep_ < options_.sweep_period * sweep_backoff_) {
@@ -58,13 +65,8 @@ void DynamicMatcher::CountChangeAndMaybeSweep() {
   sweep_moved_base_ = maintenance_stats_.subscriptions_moved;
   sweep_created_base_ = maintenance_stats_.tables_created;
   sweep_deleted_base_ = maintenance_stats_.tables_deleted;
-  if (options_.sweep_chunk == 0) {
-    MaintenanceSweep();
-    FinishSweepAccounting();
-  } else {
-    BeginIncrementalSweep();
-    IncrementalSweepStep();
-  }
+  BeginSweep();
+  SweepStep();
 }
 
 void DynamicMatcher::FinishSweepAccounting() {
@@ -84,11 +86,12 @@ void DynamicMatcher::FinishSweepAccounting() {
   }
 }
 
-void DynamicMatcher::BeginIncrementalSweep() {
+void DynamicMatcher::BeginSweep() {
   ++maintenance_stats_.sweeps;
-  // Same fresh census as MaintenanceSweep, but the redistribution work is
-  // deferred: snapshot the refs and let IncrementalSweepStep pay them off
-  // a chunk per subscription change.
+  // Fresh census: forget stale votes, marks, and growth-guard entries so
+  // every subscription can be counted again under current statistics. The
+  // redistribution work is deferred: snapshot the refs and let SweepStep
+  // pay them off a chunk per subscription change.
   potential_.clear();
   for (auto& [id, record] : records_) {
     (void)id;
@@ -119,13 +122,13 @@ void DynamicMatcher::BeginIncrementalSweep() {
   sweep_active_ = true;
 }
 
-void DynamicMatcher::IncrementalSweepStep() {
+void DynamicMatcher::SweepStep() {
   in_maintenance_ = true;
   // Refs may have gone stale since the snapshot (clusters emptied, tables
   // deleted, predicate ids recycled); ClusterDistribute resolves each ref
   // afresh and skips the vanished ones.
   uint64_t done = 0;
-  while (sweep_pos_ < sweep_refs_.size() && done < options_.sweep_chunk) {
+  while (sweep_pos_ < sweep_refs_.size() && done < kSweepChunk) {
     ClusterDistribute(sweep_refs_[sweep_pos_++], /*census=*/true);
     ++done;
   }
@@ -138,55 +141,6 @@ void DynamicMatcher::IncrementalSweepStep() {
     sweep_pos_ = 0;
     sweep_active_ = false;
     FinishSweepAccounting();
-  }
-  in_maintenance_ = false;
-}
-
-void DynamicMatcher::MaintenanceSweep() {
-  ++maintenance_stats_.sweeps;
-  in_maintenance_ = true;
-  // Fresh census: forget stale votes, marks, and growth-guard entries so
-  // every subscription can be counted again under current statistics.
-  potential_.clear();
-  for (auto& [id, record] : records_) {
-    (void)id;
-    record.marked = false;
-  }
-  last_distributed_size_.clear();
-
-  // Every singleton cluster list...
-  for (PredicateId pid = 0; pid < eq_lists_.size(); ++pid) {
-    if (eq_lists_[pid] == nullptr) continue;
-    ClusterRef ref;
-    ref.table_index = kSingletonTable;
-    ref.access_pred = pid;
-    ClusterDistribute(ref, /*census=*/true);
-  }
-  CreateReadyTables();
-  // ...and every multi-attribute table entry (tables created mid-sweep are
-  // appended and visited too; their clusters are already well placed).
-  std::vector<std::vector<Value>> keys;
-  for (uint32_t t = 0; t < tables_.size(); ++t) {
-    if (tables_[t] == nullptr) continue;
-    MultiAttrHashTable& table = tables_[t]->table;
-    keys.clear();
-    table.ForEachEntry(
-        [&](const std::vector<Value>& key, const ClusterList& list) {
-          (void)list;
-          keys.push_back(key);
-        });
-    for (std::vector<Value>& key : keys) {
-      ClusterRef ref;
-      ref.table_index = t;
-      ref.access_pred = kInvalidPredicateId;
-      ref.key = std::move(key);
-      ClusterDistribute(ref, /*census=*/true);
-    }
-    CreateReadyTables();
-  }
-  // Reclaim starved multi-attribute tables.
-  for (uint32_t t = 0; t < tables_.size(); ++t) {
-    if (tables_[t] != nullptr) MaybeDeleteTable(t);
   }
   in_maintenance_ = false;
 }

@@ -9,9 +9,11 @@
 // multi-attribute tables. A potential table whose accumulated benefit
 // justifies its per-event probe overhead is created and populated from its
 // candidate clusters; an existing table whose benefit |H| drops below
-// Bdelete is dropped. A periodic full sweep (the paper: metrics are
-// "updated periodically after a certain number of subscription changes")
-// re-takes the vote census so drifting workloads always converge.
+// Bdelete is dropped. A periodic sweep (the paper: metrics are "updated
+// periodically after a certain number of subscription changes") re-takes
+// the vote census so drifting workloads always converge; it runs
+// incrementally, a bounded chunk of cluster lists per subscription change,
+// so no single change pays for redistributing the whole population.
 
 #ifndef VFPS_MATCHER_DYNAMIC_MATCHER_H_
 #define VFPS_MATCHER_DYNAMIC_MATCHER_H_
@@ -60,11 +62,12 @@ struct DynamicOptions {
   /// below this fraction of its current cost. Guards against oscillation
   /// between statistically equivalent placements under noisy ν estimates.
   double move_hysteresis = 0.7;
-  /// Every this many subscription changes, a full maintenance sweep runs:
-  /// the vote census restarts from scratch and every cluster is
-  /// redistributed once. The incremental OnPlaced reaction alone only ever
-  /// polls the clusters that happen to grow past the guard, so its census
-  /// is partial; the sweep guarantees convergence. 0 disables sweeps.
+  /// Every this many subscription changes, a maintenance sweep starts: the
+  /// vote census restarts from scratch and every cluster is redistributed
+  /// once, a chunk per subsequent change. The event-driven OnPlaced
+  /// reaction alone only ever polls the clusters that happen to grow past
+  /// the guard, so its census is partial; the sweep guarantees
+  /// convergence. 0 disables sweeps.
   uint64_t sweep_period = 50000;
   /// An unproductive sweep (moves below sweep_backoff_fraction of the
   /// population, nothing created or deleted) doubles the effective period,
@@ -72,14 +75,6 @@ struct DynamicOptions {
   /// Converged systems thus stop paying for sweeps.
   double sweep_backoff_fraction = 0.01;
   uint64_t sweep_backoff_max = 16;
-  /// When nonzero, the periodic sweep runs incrementally instead of
-  /// stop-the-world: the vote census is reset once when the sweep becomes
-  /// due, then each subsequent subscription change redistributes at most
-  /// this many cluster lists until the pass completes (the same
-  /// background-pass idiom the epoch-based churn matcher uses for its
-  /// reorganizer). Clusters that appear mid-pass are caught by the next
-  /// sweep. 0 keeps the classic full sweep.
-  uint64_t sweep_chunk = 0;
 };
 
 /// Adaptive clustered matcher.
@@ -162,21 +157,17 @@ class DynamicMatcher : public ClusteredMatcherBase {
   /// re-placing its subscriptions.
   void MaybeDeleteTable(uint32_t table_index);
 
-  /// Periodic full maintenance pass: fresh vote census, redistribution of
-  /// every cluster, table creation and deletion.
-  void MaintenanceSweep();
-
-  /// Bumps the change counter and runs MaintenanceSweep when due (or, with
-  /// sweep_chunk set, advances the in-progress incremental sweep).
+  /// Bumps the change counter and starts a sweep when due, or advances
+  /// the sweep in progress.
   void CountChangeAndMaybeSweep();
 
-  /// Starts an incremental sweep: resets the census and snapshots the
-  /// cluster refs to visit (sweep_chunk mode only).
-  void BeginIncrementalSweep();
+  /// Starts a sweep: resets the census and snapshots the cluster refs to
+  /// visit. Clusters that appear mid-pass are caught by the next sweep.
+  void BeginSweep();
 
-  /// Redistributes up to sweep_chunk pending refs; finishes the sweep
+  /// Redistributes the next chunk of pending refs; finishes the sweep
   /// (table deletion, backoff accounting) when the list drains.
-  void IncrementalSweepStep();
+  void SweepStep();
 
   /// Applies the productive/backoff rule against the sweep-start baseline.
   void FinishSweepAccounting();
@@ -196,9 +187,9 @@ class DynamicMatcher : public ClusteredMatcherBase {
   uint64_t changes_since_sweep_ = 0;
   uint64_t sweep_backoff_ = 1;  // multiplier on sweep_period
   bool in_maintenance_ = false;
-  /// Incremental-sweep state (sweep_chunk mode): pending cluster refs,
-  /// progress cursor, and the maintenance-stat baselines the backoff rule
-  /// compares against once the pass completes.
+  /// Sweep state: pending cluster refs, progress cursor, and the
+  /// maintenance-stat baselines the backoff rule compares against once the
+  /// pass completes.
   bool sweep_active_ = false;
   std::vector<ClusterRef> sweep_refs_;
   size_t sweep_pos_ = 0;

@@ -83,9 +83,7 @@ class Matcher {
   /// True when AddSubscription / RemoveSubscription may run concurrently
   /// with Match() without external locking. Default matchers are
   /// single-threaded; the epoch-based churn matcher opts in (and further
-  /// allows concurrent Match calls), as does a ShardedMatcher composed
-  /// purely of churn-capable shards (whose own Match still wants a single
-  /// driver — see sharded_matcher.h).
+  /// allows concurrent Match calls).
   virtual bool supports_concurrent_churn() const { return false; }
 
   /// Cumulative per-match counters. Virtual so concurrent matchers can
@@ -98,11 +96,6 @@ class Matcher {
   /// into them (compiled out under VFPS_TELEMETRY=OFF). nullptr detaches.
   /// The registry must outlive the matcher or a later detach.
   virtual void AttachTelemetry(MetricsRegistry* registry);
-
-  /// Folds shard-local instruments into the attached registry; single
-  /// matchers record live and need no collection. Call before exporting a
-  /// registry that a ShardedMatcher is attached to.
-  virtual void CollectTelemetry() {}
 
  protected:
   /// Records one event's telemetry from the stats_ delta since `before`

@@ -6,20 +6,15 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <thread>
@@ -34,11 +29,10 @@ namespace vfps {
 
 namespace net_internal {
 
-/// Readiness-notification backend: epoll on Linux (O(ready) dispatch, the
-/// interest set lives in the kernel), with a poll() fallback that rebuilds
-/// its pollfd array per wait (O(connections) — portability only; force it
-/// with VFPS_FORCE_POLL=1). Keys are caller-chosen u64s carried back in
-/// Ready so the loop never maps fd -> connection itself.
+/// Readiness notification over epoll (level-triggered, O(ready)
+/// dispatch; the interest set lives in the kernel). Keys are caller-chosen
+/// u64s carried back in Ready so the loop never maps fd -> connection
+/// itself.
 class Poller {
  public:
   struct Ready {
@@ -48,53 +42,42 @@ class Poller {
     bool error = false;
   };
 
-  virtual ~Poller() = default;
-  virtual bool Add(int fd, uint64_t key, bool want_read, bool want_write) = 0;
-  virtual void Mod(int fd, uint64_t key, bool want_read, bool want_write) = 0;
-  virtual void Del(int fd, uint64_t key) = 0;
-  /// Waits up to `timeout_ms` (negative = indefinitely) and fills `out`.
-  /// Returns the ready count, or -1 with errno set (EINTR included).
-  virtual int Wait(int timeout_ms, std::vector<Ready>* out) = 0;
-  virtual bool is_epoll() const = 0;
-};
+  Poller() = default;
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
 
-namespace {
-
-#if defined(__linux__)
-
-class EpollPoller : public Poller {
- public:
-  static std::unique_ptr<EpollPoller> Create() {
+  /// nullptr (errno set) when the kernel refuses an epoll instance.
+  static std::unique_ptr<Poller> Create() {
     int fd = ::epoll_create1(EPOLL_CLOEXEC);
     if (fd < 0) return nullptr;
-    auto poller = std::make_unique<EpollPoller>();
+    auto poller = std::make_unique<Poller>();
     poller->epfd_ = fd;
     return poller;
   }
 
-  ~EpollPoller() override {
+  ~Poller() {
     if (epfd_ >= 0) ::close(epfd_);
   }
 
-  bool Add(int fd, uint64_t key, bool want_read, bool want_write) override {
+  bool Add(int fd, uint64_t key, bool want_read, bool want_write) {
     epoll_event ev{};
     ev.events = Events(want_read, want_write);
     ev.data.u64 = key;
     return ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0;
   }
 
-  void Mod(int fd, uint64_t key, bool want_read, bool want_write) override {
+  void Mod(int fd, uint64_t key, bool want_read, bool want_write) {
     epoll_event ev{};
     ev.events = Events(want_read, want_write);
     ev.data.u64 = key;
     ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
   }
 
-  void Del(int fd, uint64_t /*key*/) override {
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
+  void Del(int fd) { ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr); }
 
-  int Wait(int timeout_ms, std::vector<Ready>* out) override {
+  /// Waits up to `timeout_ms` (negative = indefinitely) and fills `out`.
+  /// Returns the ready count, or -1 with errno set (EINTR included).
+  int Wait(int timeout_ms, std::vector<Ready>* out) {
     out->clear();
     epoll_event events[256];
     int n = ::epoll_wait(epfd_, events, 256, timeout_ms);
@@ -111,8 +94,6 @@ class EpollPoller : public Poller {
     return n;
   }
 
-  bool is_epoll() const override { return true; }
-
  private:
   static uint32_t Events(bool want_read, bool want_write) {
     // Level-triggered: unconsumed readiness re-reports, so a round that
@@ -126,72 +107,6 @@ class EpollPoller : public Poller {
   int epfd_ = -1;
 };
 
-#endif  // defined(__linux__)
-
-class PollPoller : public Poller {
- public:
-  bool Add(int fd, uint64_t key, bool want_read, bool want_write) override {
-    entries_[key] = Entry{fd, want_read, want_write};
-    return true;
-  }
-
-  void Mod(int fd, uint64_t key, bool want_read, bool want_write) override {
-    entries_[key] = Entry{fd, want_read, want_write};
-  }
-
-  void Del(int /*fd*/, uint64_t key) override { entries_.erase(key); }
-
-  int Wait(int timeout_ms, std::vector<Ready>* out) override {
-    out->clear();
-    // O(n) rebuild per wait: this backend exists for portability, not
-    // scale; the epoll path carries the connection-count targets.
-    pfds_.clear();
-    keys_.clear();
-    for (const auto& [key, entry] : entries_) {
-      short events = 0;
-      if (entry.want_read) events |= POLLIN;
-      if (entry.want_write) events |= POLLOUT;
-      pfds_.push_back(pollfd{entry.fd, events, 0});
-      keys_.push_back(key);
-    }
-    int n = ::poll(pfds_.data(), pfds_.size(), timeout_ms);
-    if (n < 0) return -1;
-    for (size_t i = 0; i < pfds_.size(); ++i) {
-      if (pfds_[i].revents == 0) continue;
-      Ready ready;
-      ready.key = keys_[i];
-      ready.readable = (pfds_[i].revents & POLLIN) != 0;
-      ready.writable = (pfds_[i].revents & POLLOUT) != 0;
-      ready.error =
-          (pfds_[i].revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      out->push_back(ready);
-    }
-    return n;
-  }
-
-  bool is_epoll() const override { return false; }
-
- private:
-  struct Entry {
-    int fd = -1;
-    bool want_read = false;
-    bool want_write = false;
-  };
-  std::unordered_map<uint64_t, Entry> entries_;
-  std::vector<pollfd> pfds_;
-  std::vector<uint64_t> keys_;
-};
-
-std::unique_ptr<Poller> MakePoller() {
-#if defined(__linux__)
-  if (std::getenv("VFPS_FORCE_POLL") == nullptr) {
-    if (auto poller = EpollPoller::Create()) return poller;
-  }
-#endif
-  return std::make_unique<PollPoller>();
-}
-
-}  // namespace
 }  // namespace net_internal
 
 namespace {
@@ -294,9 +209,6 @@ PubSubServer::PubSubServer(ServerOptions options)
   metrics_.RegisterGauge("vfps_server_out_queue_bytes", [this] {
     return static_cast<int64_t>(OutBytes());
   });
-  metrics_.RegisterGauge("vfps_net_poller_epoll", [this] {
-    return static_cast<int64_t>(poller_is_epoll_);
-  });
   // Reads 0 in builds with failpoints compiled out.
   metrics_.RegisterGauge("vfps_server_failpoint_trips", [] {
     return static_cast<int64_t>(FailPoints::Global().trips());
@@ -354,8 +266,8 @@ Status PubSubServer::Start() {
   SetNonBlocking(wake_pipe_[0]);
   SetNonBlocking(wake_pipe_[1]);
 
-  poller_ = net_internal::MakePoller();
-  poller_is_epoll_ = poller_->is_epoll() ? 1 : 0;
+  poller_ = net_internal::Poller::Create();
+  if (poller_ == nullptr) return Errno("epoll_create1");
   if (!poller_->Add(listen_fd_, kListenKey, true, false)) {
     return Errno("poller add listen");
   }
@@ -628,7 +540,7 @@ void PubSubServer::CloseConnection(uint64_t key) {
   if (it == connections_.end()) return;
   Connection* conn = it->second.get();
   SubOutBytes(conn->out_bytes);
-  poller_->Del(conn->fd, key);
+  poller_->Del(conn->fd);
   ::close(conn->fd);
   connections_.erase(it);
   // sync-relaxed-ok: gauge-only counter; see connection_count().
@@ -713,7 +625,7 @@ Result<int> PubSubServer::RunOnce(int timeout_ms) {
   telemetry_.wait_ns->Record(wait_timer.ElapsedNanos());
   if (n < 0) {
     if (errno == EINTR) return 0;
-    return Errno(poller_is_epoll_ != 0 ? "epoll_wait" : "poll");
+    return Errno("epoll_wait");
   }
 
   Timer dispatch_timer;
@@ -806,8 +718,7 @@ PubSubServer::WorkerConn* PubSubServer::WorkerConnFor(uint64_t id) {
 void PubSubServer::RunLinesJob(uint64_t id,
                                std::vector<std::string> lines) {
   VFPS_SERIAL_SCOPE(worker_serial_);
-  payload_cache_.clear();
-  last_payload_.reset();
+  ResetPayloadCache();
   ++job_epoch_;
   JobResult result;
   result.origin = id;
@@ -879,16 +790,17 @@ void PubSubServer::EmitErr(WorkerConn* wc, std::string_view message) {
   EmitLine(wc, FormatErr(message));
 }
 
+void PubSubServer::ResetPayloadCache() {
+  last_event_ = nullptr;
+  last_payload_.reset();
+}
+
 void PubSubServer::EmitEvent(WorkerConn* wc, const Notification& n) {
-  if (!last_payload_ || n.event_id != last_event_id_) {
-    std::shared_ptr<const std::string>& payload = payload_cache_[n.event_id];
-    if (!payload) {
-      payload = std::make_shared<const std::string>(
-          FormatEventText(*n.event, broker_.schema()) + "\n");
-      telemetry_.payloads_formatted->Inc();
-    }
-    last_event_id_ = n.event_id;
-    last_payload_ = payload;
+  if (n.event != last_event_) {
+    last_payload_ = std::make_shared<const std::string>(
+        FormatEventText(*n.event, broker_.schema()) + "\n");
+    last_event_ = n.event;
+    telemetry_.payloads_formatted->Inc();
   }
   const std::string& body = *last_payload_;
   ++pending_payload_refs_;
@@ -1025,6 +937,7 @@ int PubSubServer::FinishPublishBatch(WorkerConn* wc) {
   wc->batch_lines.clear();
   // Publish before emitting the reply: EVENT pushes onto this connection
   // land before "OK <n>", keeping the payload lines contiguous.
+  ResetPayloadCache();
   const std::vector<PublishResult> results = broker_.PublishBatch(events);
   for (size_t i = 0; i < results.size(); ++i) {
     item_lines[event_slot[i]] = std::to_string(results[i].event_id) + " " +
@@ -1096,6 +1009,7 @@ void PubSubServer::DispatchRequest(WorkerConn* wc, const Request& request) {
       const Timestamp deadline = request.number == Request::kNoDeadline
                                      ? kNeverExpires
                                      : request.number;
+      ResetPayloadCache();
       Result<PublishResult> result =
           broker_.PublishExpression(request.body, deadline);
       if (!result.ok()) {
@@ -1131,13 +1045,13 @@ void PubSubServer::DispatchRequest(WorkerConn* wc, const Request& request) {
       // here would self-deadlock the single worker).
       if (request.body == "PROM") {
         // Multi-line export: "OK <n>" then n raw text-format lines.
-        std::string text = ExportPromOnWorker();
+        std::string text = metrics_.ExportPrometheus();
         size_t lines = 0;
         for (char c : text) lines += c == '\n';
         EmitLine(wc, FormatOkDetail(std::to_string(lines)));
         EmitRaw(wc, std::move(text));  // every line ends in '\n'
       } else {
-        EmitLine(wc, FormatOkDetail(ExportJsonOnWorker()));
+        EmitLine(wc, FormatOkDetail(metrics_.ExportJson()));
       }
       return;
     }
@@ -1204,17 +1118,9 @@ void PubSubServer::HandleFailPoint(WorkerConn* wc, const std::string& args) {
 
 // --- metrics export ----------------------------------------------------------
 
-std::string PubSubServer::ExportJsonOnWorker() {
-  broker_.CollectTelemetry();
-  return metrics_.ExportJson();
-}
-
-std::string PubSubServer::ExportPromOnWorker() {
-  broker_.CollectTelemetry();
-  return metrics_.ExportPrometheus();
-}
-
 std::string PubSubServer::ExportViaWorker(bool json) {
+  // Gauges sample broker and matcher state, which only the worker may
+  // read while it runs.
   struct ExportWait {
     Mutex mu{LockRank::kNetResults, "net_export"};
     CondVar cv;
@@ -1225,7 +1131,8 @@ std::string PubSubServer::ExportViaWorker(bool json) {
       worker_ != nullptr &&
       worker_->Submit([this, &wait, json] {
         VFPS_SERIAL_SCOPE(worker_serial_);
-        std::string text = json ? ExportJsonOnWorker() : ExportPromOnWorker();
+        std::string text =
+            json ? metrics_.ExportJson() : metrics_.ExportPrometheus();
         MutexLock lock(wait.mu);
         wait.text = std::move(text);
         wait.done = true;
@@ -1234,7 +1141,7 @@ std::string PubSubServer::ExportViaWorker(bool json) {
   if (!submitted) {
     // Worker already shut down (destruction path): nothing else can be
     // executing, so a direct export is serial.
-    return json ? ExportJsonOnWorker() : ExportPromOnWorker();
+    return json ? metrics_.ExportJson() : metrics_.ExportPrometheus();
   }
   MutexLock lock(wait.mu);
   while (!wait.done) wait.cv.Wait(wait.mu);

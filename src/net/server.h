@@ -138,11 +138,10 @@ class PubSubServer {
   /// instruments; see docs/OBSERVABILITY.md).
   MetricsRegistry& metrics() { return metrics_; }
 
-  /// Collects shard telemetry and renders the registry. These are what the
-  /// METRICS verb answers with; exposed for in-process use (tools dumping
-  /// periodic snapshots, tests). Thread-safe: the export runs as a job on
-  /// the match worker (so it never races request execution) and the caller
-  /// blocks until it completes.
+  /// Renders the registry. These are what the METRICS verb answers with;
+  /// exposed for in-process use (tools dumping periodic snapshots, tests).
+  /// Thread-safe: the export runs as a job on the match worker (so it never
+  /// races request execution) and the caller blocks until it completes.
   std::string ExportMetricsJson();
   std::string ExportMetricsProm();
 
@@ -301,11 +300,13 @@ class PubSubServer {
   /// Emits an ERR response and counts it.
   void EmitErr(WorkerConn* wc, std::string_view message);
   /// Emits one EVENT push: per-subscriber header + the shared payload for
-  /// this event (formatted once per event per job). Small payloads are
+  /// this event (formatted once per event per publish). Small payloads are
   /// appended into the recipient's open op; large ones ride as a
   /// refcounted chunk shared across all recipients. `wc` is the stable
   /// worker_conns_ node captured by the subscription handler.
   void EmitEvent(WorkerConn* wc, const Notification& n);
+  /// Forgets the cached payload (see last_event_).
+  void ResetPayloadCache();
   /// Executes the FAILPOINT admin verb (or reports it compiled out).
   void HandleFailPoint(WorkerConn* wc, const std::string& args);
   /// Whether PUB/PUBBATCH should currently be shed with ERR BUSY. Reads
@@ -315,8 +316,7 @@ class PubSubServer {
   bool ShedPublishes() const;
   /// Posts the finished result and wakes the loop.
   void PostResult(JobResult result);
-  std::string ExportJsonOnWorker();
-  std::string ExportPromOnWorker();
+  /// Exports the registry on the match worker and waits for the text.
   std::string ExportViaWorker(bool json);
 
   // --- shared byte ledger ----------------------------------------------------
@@ -357,9 +357,6 @@ class PubSubServer {
   // --- loop-owned state (only touched under serial_) -------------------------
 
   std::unique_ptr<net_internal::Poller> poller_;
-  /// 1 when the Linux epoll backend is active, 0 on the poll() fallback
-  /// (exported as the vfps_net_poller_epoll gauge).
-  int poller_is_epoll_ = 0;
   /// Live connections keyed by their (never reused) poller key.
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> connections_;
   uint64_t next_conn_key_ = 2;  // 0 = listen socket, 1 = wake pipe
@@ -376,12 +373,12 @@ class PubSubServer {
   // --- worker-owned state (only touched under worker_serial_) ----------------
 
   std::unordered_map<uint64_t, WorkerConn> worker_conns_;
-  /// Per-job fan-out payload dedup: event id -> shared rendered body.
-  std::unordered_map<EventId, std::shared_ptr<const std::string>>
-      payload_cache_;
-  /// Broker fan-out notifies subscriber-by-subscriber for one event before
-  /// moving to the next: a one-entry cache in front of payload_cache_.
-  EventId last_event_id_ = 0;
+  /// Fan-out payload dedup: the broker notifies subscriber-by-subscriber
+  /// for one event before moving to the next, so one entry keyed on the
+  /// notification's Event suffices. Keyed on the pointer, not the event id
+  /// (every id is 0 when events are not stored); reset before each publish
+  /// because a parsed Event may reuse the previous one's address.
+  const Event* last_event_ = nullptr;
   std::shared_ptr<const std::string> last_payload_;
   /// Monotone job counter validating WorkerConn::op_epoch (starts at 1 so
   /// a fresh WorkerConn's epoch 0 never matches).

@@ -12,6 +12,7 @@
 #include "src/matcher/static_matcher.h"
 #include "src/matcher/tree_matcher.h"
 #include "src/util/macros.h"
+#include "src/util/timer.h"
 
 namespace vfps {
 
@@ -306,14 +307,7 @@ Result<PublishResult> Broker::Publish(const Event& event,
 
 std::vector<PublishResult> Broker::PublishBatch(std::span<const Event> events,
                                                 Timestamp expires_at) {
-  batch_deadline_scratch_.assign(events.size(), expires_at);
-  return PublishBatchInternal(events, batch_deadline_scratch_);
-}
-
-std::vector<PublishResult> Broker::PublishBatchInternal(
-    std::span<const Event> events, std::span<const Timestamp> deadlines) {
   VFPS_SERIAL_SCOPE_IF(serial_, !options_.concurrent_churn);
-  VFPS_DCHECK(events.size() == deadlines.size());
   std::vector<PublishResult> results(events.size());
   if (events.empty()) return results;
   Timer timer;
@@ -351,7 +345,7 @@ std::vector<PublishResult> Broker::PublishBatchInternal(
   for (size_t e = 0; e < events.size(); ++e) {
     PublishResult& result = results[e];
     if (options_.store_events) {
-      result.event_id = store_.Insert(events[e], deadlines[e]);
+      result.event_id = store_.Insert(events[e], expires_at);
     }
     const Event* stored =
         options_.store_events ? store_.Find(result.event_id) : &events[e];
@@ -371,28 +365,6 @@ std::vector<PublishResult> Broker::PublishBatchInternal(
     telemetry_->publish_batch_ns->Record(timer.ElapsedNanos());
   }
   return results;
-}
-
-void Broker::EnqueuePublish(Event event, Timestamp expires_at) {
-  VFPS_SERIAL_SCOPE(serial_);
-  if (pending_events_.empty()) queue_age_.Reset();
-  pending_events_.push_back(std::move(event));
-  pending_deadlines_.push_back(expires_at);
-  if (pending_events_.size() >= options_.batch_max) Flush();
-}
-
-void Broker::Flush() {
-  VFPS_SERIAL_SCOPE(serial_);
-  if (pending_events_.empty()) return;
-  (void)PublishBatchInternal(pending_events_, pending_deadlines_);
-  pending_events_.clear();
-  pending_deadlines_.clear();
-}
-
-void Broker::MaybeFlush() {
-  VFPS_SERIAL_SCOPE(serial_);
-  if (pending_events_.empty()) return;
-  if (queue_age_.ElapsedMillis() >= options_.batch_linger_ms) Flush();
 }
 
 Result<PublishResult> Broker::Publish(std::vector<EventPair> pairs,

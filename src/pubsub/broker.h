@@ -23,9 +23,8 @@
 // map operations — never across matcher calls or notification handlers —
 // and handler records are shared_ptr-held so a handler already resolved
 // for dispatch survives a concurrent Unsubscribe (it may fire once more
-// after Unsubscribe returns). The publish queue (EnqueuePublish / Flush /
-// MaybeFlush) and AdvanceTime stay single-driver even in this mode. See
-// docs/CONCURRENCY.md.
+// after Unsubscribe returns). AdvanceTime still takes one caller at a time
+// in this mode. See docs/CONCURRENCY.md.
 
 #ifndef VFPS_PUBSUB_BROKER_H_
 #define VFPS_PUBSUB_BROKER_H_
@@ -47,7 +46,6 @@
 #include "src/pubsub/event_store.h"
 #include "src/telemetry/metrics.h"
 #include "src/util/sync.h"
-#include "src/util/timer.h"
 
 namespace vfps {
 
@@ -91,14 +89,6 @@ struct BrokerOptions {
   /// reasoning per attribute): redundant predicates are dropped and
   /// provably unsatisfiable conjunctions are never handed to the matcher.
   bool normalize_subscriptions = true;
-  /// Publish-queue auto-flush threshold: EnqueuePublish flushes through
-  /// MatchBatch once this many events are pending (the paper's n_E_b = 100
-  /// event batches; see docs/BATCHING.md).
-  size_t batch_max = 64;
-  /// How long MaybeFlush lets a partial batch age (milliseconds) before
-  /// flushing it anyway. 0 = no lingering: MaybeFlush flushes any pending
-  /// events immediately.
-  double batch_linger_ms = 0;
   /// Allow Subscribe/Unsubscribe/Publish/PublishBatch from concurrent
   /// threads (see the file comment). Requires a matcher whose
   /// supports_concurrent_churn() is true and store_events = false (reverse
@@ -183,24 +173,6 @@ class Broker {
   std::vector<PublishResult> PublishBatch(
       std::span<const Event> events, Timestamp expires_at = kNeverExpires);
 
-  // --- publish queue ----------------------------------------------------------
-
-  /// Queues an event for batched publication. The queue auto-flushes
-  /// through PublishBatch when it reaches options.batch_max; per-event
-  /// results are discarded (notification handlers still fire on flush).
-  void EnqueuePublish(Event event, Timestamp expires_at = kNeverExpires);
-
-  /// Publishes everything pending now.
-  void Flush();
-
-  /// Flushes if the oldest pending event has waited at least
-  /// options.batch_linger_ms (immediately when lingering is disabled).
-  /// Event-loop owners call this between poll rounds.
-  void MaybeFlush();
-
-  /// Events waiting in the publish queue.
-  size_t pending_publishes() const { return pending_events_.size(); }
-
   // --- time -------------------------------------------------------------------
 
   /// Advances the logical clock: expires events and subscriptions whose
@@ -231,9 +203,6 @@ class Broker {
   /// exported after the broker dies; in practice the registry outlives the
   /// broker). See docs/OBSERVABILITY.md for the catalog.
   void AttachTelemetry(MetricsRegistry* registry);
-
-  /// Forwards to the matcher (ShardedMatcher folds shard registries).
-  void CollectTelemetry() { matcher_->CollectTelemetry(); }
 
  private:
   /// Held by shared_ptr in user_subs_: Publish resolves matches to
@@ -266,11 +235,6 @@ class Broker {
   Result<SubscriptionId> SubscribeInternal(
       std::vector<std::vector<Predicate>> disjuncts,
       NotificationHandler handler, Timestamp expires_at);
-
-  /// Shared core of PublishBatch and Flush: deadlines[i] is event i's
-  /// validity deadline.
-  std::vector<PublishResult> PublishBatchInternal(
-      std::span<const Event> events, std::span<const Timestamp> deadlines);
 
   /// Debug-build guard for the single-threaded contract above; mutating
   /// entry points open scopes on it.
@@ -307,13 +271,8 @@ class Broker {
   /// Serial-mode match scratch; concurrent publishes use thread-local
   /// scratch instead (driver-owned, so unguarded by design).
   std::vector<SubscriptionId> scratch_matches_;
-
-  // Publish queue + batch scratch (single-threaded, like the matcher).
-  std::vector<Event> pending_events_;
-  std::vector<Timestamp> pending_deadlines_;
-  Timer queue_age_;  // reset when the first event of a batch is queued
+  /// Serial-mode batch scratch (unguarded, like scratch_matches_).
   BatchResult batch_scratch_;
-  std::vector<Timestamp> batch_deadline_scratch_;
 };
 
 }  // namespace vfps

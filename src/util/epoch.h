@@ -46,7 +46,7 @@
 namespace vfps {
 
 /// Epoch clock, reader slots, and the limbo list of one churn domain
-/// (typically one per ChurnMatcher; shards have independent managers).
+/// (typically one per ChurnMatcher).
 class EpochManager {
  public:
   /// Concurrent reader limit. Pins beyond this spin-wait for a slot to

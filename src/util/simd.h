@@ -5,9 +5,8 @@
 // with per-file arch flags, see src/CMakeLists.txt); which one runs is
 // decided once at startup from cpuid/getauxval and can be overridden with
 // the VFPS_SIMD environment variable (off|scalar|sse2|avx2|neon|auto) for
-// testing and A/B ablations. The selection is process-global: matching is
-// single-threaded per matcher and the sharded wrapper's threads only read
-// the (atomic) active-ISA word.
+// testing and A/B ablations. The selection is process-global: concurrent
+// matchers only read the (atomic) active-ISA word.
 
 #ifndef VFPS_UTIL_SIMD_H_
 #define VFPS_UTIL_SIMD_H_

@@ -116,7 +116,7 @@ enum class LockRank : uint32_t {
   /// against each other (readers never take it). Held while retiring
   /// superseded snapshots, so it ranks below kEpochReclaim.
   kChurnWriter = 150,
-  /// ThreadPool queue/lifecycle lock (sharded matcher fan-out).
+  /// ThreadPool queue/lifecycle lock (the server's match-worker queue).
   kThreadPool = 200,
   /// Net-server worker→loop handoff (src/net/server.cc): the completed
   /// request-result queue and export-wait latches. Taken briefly by the

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "src/matcher/naive_matcher.h"
-#include "src/matcher/sharded_matcher.h"
 #include "src/pubsub/broker.h"
 #include "src/telemetry/metrics.h"
 #include "src/util/rng.h"
@@ -163,15 +162,6 @@ TEST(ChurnTest, EpochStatsAdvanceUnderChurn) {
   // Everything retired is eventually reclaimed (no readers are pinned).
   EXPECT_EQ(epoch.retired_total(),
             epoch.reclaimed_total() + epoch.limbo_depth());
-}
-
-TEST(ChurnTest, ShardedOfChurnShardsSupportsConcurrentChurn) {
-  ShardedMatcher churn_shards(
-      2, [] { return std::make_unique<ChurnMatcher>(); });
-  EXPECT_TRUE(churn_shards.supports_concurrent_churn());
-  ShardedMatcher dynamic_shards(2,
-                                [] { return MakeMatcher(Algorithm::kDynamic); });
-  EXPECT_FALSE(dynamic_shards.supports_concurrent_churn());
 }
 
 TEST(ChurnTest, EpochGaugesRegisterThroughBrokerTelemetry) {

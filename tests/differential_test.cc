@@ -72,9 +72,8 @@ TEST(DifferentialHarnessTest, CleanOnEmptyAndNearEmptyEvents) {
   ASSERT_FALSE(report.divergence.has_value());
 }
 
-// Concurrent subscribe/unsubscribe/match traffic over the two variants
-// that matter under load. With TSan this validates the locking protocol
-// and the sharded matcher's internal thread-pool fan-out; in any build it
+// Concurrent subscribe/unsubscribe/match traffic over the dynamic variant.
+// With TSan this validates the harness's locking protocol; in any build it
 // validates results under interleaved mutation.
 TEST(DifferentialConcurrencyTest, DynamicVariantCleanUnderThreadedChurn) {
   DiffConfig config{.seed = 401, .attrs = 6, .domain = 12,
@@ -82,20 +81,6 @@ TEST(DifferentialConcurrencyTest, DynamicVariantCleanUnderThreadedChurn) {
                     .churn = true};
   for (const DiffVariant& v : DefaultDiffVariants()) {
     if (v.name != "dynamic") continue;
-    auto divergence = RunConcurrentDifferential(
-        config, v, /*writer_threads=*/2, /*reader_threads=*/2,
-        /*mutations=*/800);
-    ASSERT_FALSE(divergence.has_value())
-        << MinimizeDivergence(config, *divergence, v);
-  }
-}
-
-TEST(DifferentialConcurrencyTest, ShardedVariantCleanUnderThreadedChurn) {
-  DiffConfig config{.seed = 402, .attrs = 6, .domain = 12,
-                    .subscriptions = 0, .events = 0, .p_present = 0.7,
-                    .churn = true};
-  for (const DiffVariant& v : DefaultDiffVariants()) {
-    if (v.name != "sharded") continue;
     auto divergence = RunConcurrentDifferential(
         config, v, /*writer_threads=*/2, /*reader_threads=*/2,
         /*mutations=*/800);
@@ -128,15 +113,14 @@ TEST(DifferentialHarnessTest, BatchMatchesOracleAcrossBatchSizes) {
   }
 }
 
-// Batched readers over the sharded matcher: the thread-pool fan-out plus
-// per-shard BatchResult merge under concurrent churn (a TSan target via
+// Batched readers (MatchBatch) under interleaved churn (a TSan target via
 // this binary's `concurrency` label).
-TEST(DifferentialConcurrencyTest, ShardedVariantCleanUnderBatchedReaders) {
+TEST(DifferentialConcurrencyTest, DynamicVariantCleanUnderBatchedReaders) {
   DiffConfig config{.seed = 403, .attrs = 6, .domain = 12,
                     .subscriptions = 0, .events = 0, .p_present = 0.7,
                     .churn = true};
   for (const DiffVariant& v : DefaultDiffVariants()) {
-    if (v.name != "sharded") continue;
+    if (v.name != "dynamic") continue;
     auto divergence = RunConcurrentDifferential(
         config, v, /*writer_threads=*/2, /*reader_threads=*/2,
         /*mutations=*/800, /*reader_batch=*/8);

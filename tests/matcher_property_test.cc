@@ -13,7 +13,6 @@
 
 #include "src/core/batch_result.h"
 #include "src/matcher/naive_matcher.h"
-#include "src/matcher/sharded_matcher.h"
 #include "src/matcher/static_matcher.h"
 #include "src/pubsub/broker.h"
 #include "src/util/rng.h"
@@ -344,14 +343,12 @@ TEST(ShapeEdgeCaseTest, EventCreateRejectsDuplicateAttributes) {
 
 // --- MatchBatch ≡ Match ------------------------------------------------------
 // The batched entry point must be observably identical to calling Match per
-// event — for the native batch kernels (propagation/static/dynamic), the
-// default loop fallback (counting/tree/naive), and the sharded fan-out.
+// event — for the native batch kernels (propagation/static/dynamic) and the
+// default loop fallback (counting/tree/naive).
 
 std::vector<std::unique_ptr<Matcher>> AllBatchMatchers() {
   std::vector<std::unique_ptr<Matcher>> matchers;
   for (Algorithm a : FastAlgorithms()) matchers.push_back(MakeMatcher(a));
-  matchers.push_back(std::make_unique<ShardedMatcher>(
-      4, [] { return MakeMatcher(Algorithm::kDynamic); }));
   return matchers;
 }
 

@@ -547,6 +547,33 @@ TEST_F(ServerClientTest, TornFramesReassembleAcrossVerbs) {
   EXPECT_EQ(stats->rfind("OK subscriptions=", 0), 0u);
 }
 
+// With event storage off every event id is 0, so the fan-out payload
+// cache must tell events of one job apart by identity, not by id: each
+// push carries its own event's text, for a PUBBATCH and for pipelined PUB
+// lines read together.
+TEST_F(ServerClientTest, UnstoredEventsInOneJobKeepTheirOwnText) {
+  ServerOptions options;
+  options.store_events = false;
+  RestartServer(options);
+  RawConn raw(server_->port());
+  ASSERT_TRUE(raw.connected());
+  raw.WriteAll("SUB x >= 0\n");
+  EXPECT_EQ(raw.ReadLine(), "OK 1");
+
+  raw.WriteAll("PUBBATCH 2\nx = 1, seq = 1\nx = 2, seq = 2\n");
+  EXPECT_EQ(raw.ReadLine(), "EVENT 1 0 x = 1, seq = 1");
+  EXPECT_EQ(raw.ReadLine(), "EVENT 1 0 x = 2, seq = 2");
+  EXPECT_EQ(raw.ReadLine(), "OK 2");
+  EXPECT_EQ(raw.ReadLine(), "0 1");
+  EXPECT_EQ(raw.ReadLine(), "0 1");
+
+  raw.WriteAll("PUB x = 3, seq = 3\nPUB x = 4, seq = 4\n");
+  EXPECT_EQ(raw.ReadLine(), "EVENT 1 0 x = 3, seq = 3");
+  EXPECT_EQ(raw.ReadLine(), "OK 0 1");
+  EXPECT_EQ(raw.ReadLine(), "EVENT 1 0 x = 4, seq = 4");
+  EXPECT_EQ(raw.ReadLine(), "OK 0 1");
+}
+
 TEST_F(ServerClientTest, TruncatedBatchThenCloseLeavesServerAlive) {
   // Abandon a PUBBATCH mid-payload at each interesting boundary; the
   // server must drop the connection's half-frame without corrupting state.

@@ -9,8 +9,7 @@
 //   vfps_verify --seeds=20 --events=1000
 //   vfps_verify --seed=42 --variant=tree --churn   # replay one config
 //   vfps_verify --concurrent            # TSan target: threaded churn over
-//                                       # the dynamic, sharded, and churn
-//                                       # variants
+//                                       # the dynamic and churn variants
 //   vfps_verify --batch=64              # batched pipeline (MatchBatch)
 
 #include <cinttypes>
@@ -131,12 +130,10 @@ int RunConcurrent(const tools::Flags& flags,
   config.p_present = flags.GetDouble("p-present", 0.7);
   for (const DiffVariant& v : variants) {
     // Only the mutable-under-load variants matter here: dynamic (the
-    // paper's adaptive algorithm), sharded (the thread-pool path), and
-    // churn (the epoch-based snapshot path; its truly lock-free overlap —
-    // Match with no harness lock — is soaked by tests/churn_test.cc).
-    if (v.name != "dynamic" && v.name != "sharded" && v.name != "churn") {
-      continue;
-    }
+    // paper's adaptive algorithm) and churn (the epoch-based snapshot
+    // path; its truly lock-free overlap — Match with no harness lock — is
+    // soaked by tests/churn_test.cc).
+    if (v.name != "dynamic" && v.name != "churn") continue;
     auto divergence = RunConcurrentDifferential(
         config, v, /*writer_threads=*/2, /*reader_threads=*/2, mutations,
         /*reader_batch=*/static_cast<size_t>(flags.GetInt("batch", 0)));
@@ -174,8 +171,7 @@ int Main(int argc, char** argv) {
         "  --attrs=N --domain=N --p-present=F   workload shape overrides\n"
         "  --churn[=false]    interleave unsubscribes (default: odd seeds)\n"
         "  --variant=name     verify one variant only\n"
-        "  --concurrent       threaded churn over dynamic + sharded + "
-        "churn\n"
+        "  --concurrent       threaded churn over dynamic + churn\n"
         "  --mutations=N      mutations in --concurrent mode (default "
         "2000)\n"
         "  --batch=N          verify MatchBatch with batches of N events\n"

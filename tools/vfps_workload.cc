@@ -27,8 +27,12 @@ std::string ConditionText(const vfps::Subscription& s) {
   for (size_t i = 0; i < s.predicates().size(); ++i) {
     const vfps::Predicate& p = s.predicates()[i];
     if (i > 0) text += " AND ";
-    text += "a" + std::to_string(p.attribute) + " " +
-            vfps::RelOpToString(p.op) + " " + std::to_string(p.value);
+    text += 'a';
+    text += std::to_string(p.attribute);
+    text += ' ';
+    text += vfps::RelOpToString(p.op);
+    text += ' ';
+    text += std::to_string(p.value);
   }
   return text;
 }
@@ -37,8 +41,10 @@ std::string EventText(const vfps::Event& e) {
   std::string text;
   for (size_t i = 0; i < e.pairs().size(); ++i) {
     if (i > 0) text += ", ";
-    text += "a" + std::to_string(e.pairs()[i].attribute) + " = " +
-            std::to_string(e.pairs()[i].value);
+    text += 'a';
+    text += std::to_string(e.pairs()[i].attribute);
+    text += " = ";
+    text += std::to_string(e.pairs()[i].value);
   }
   return text;
 }
