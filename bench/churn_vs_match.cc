@@ -1,5 +1,6 @@
 // Copyright 2026 The vfps Authors.
-// Experiment E13 (extension) — match latency under live subscription churn.
+// Extension experiment (EXPERIMENTS.md, churn_vs_match) — match latency
+// under live subscription churn.
 // The paper's dynamic algorithm reorganizes between events on one thread;
 // this bench measures what the epoch-based churn matcher buys over that: a
 // dedicated churn thread drives paced SUB+UNSUB traffic at 0 / 1k / 10k

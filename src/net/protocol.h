@@ -93,8 +93,8 @@ std::string FormatEventPush(uint64_t subscription_id, uint64_t event_id,
                             const Event& event, const SchemaRegistry& schema);
 
 /// The per-subscriber prefix of an EVENT push ("EVENT <sub> <eid> "): the
-/// server's zero-copy fan-out formats the event text once into a shared
-/// payload and prepends this small header per recipient.
+/// server formats an event's text once per publish and writes it behind
+/// this small header into each recipient's outbound buffer.
 std::string FormatEventPushHeader(uint64_t subscription_id,
                                   uint64_t event_id);
 

@@ -8,7 +8,6 @@
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -114,15 +113,6 @@ namespace {
 constexpr uint64_t kListenKey = 0;
 constexpr uint64_t kWakeKey = 1;
 
-/// Slices batched into one writev/sendmsg call.
-constexpr int kMaxFlushIovecs = 64;
-
-/// Fan-out payloads smaller than this are copied into the recipient's
-/// tail instead of queued as a shared chunk: the payload is still
-/// formatted once per event (the zero-copy win), but tiny bodies coalesce
-/// into one contiguous slice rather than paying per-chunk bookkeeping.
-constexpr size_t kInlinePayloadBytes = 512;
-
 /// Lines jobs one connection may have in flight before the loop drops its
 /// read interest (re-armed as results apply). Bounds per-connection memory
 /// against a client that pipelines faster than matching drains.
@@ -186,8 +176,6 @@ PubSubServer::PubSubServer(ServerOptions options)
       metrics_.GetCounter("vfps_server_shed_publishes_total");
   telemetry_.wait_ns = metrics_.GetHistogram("vfps_net_wait_ns");
   telemetry_.dispatch_ns = metrics_.GetHistogram("vfps_net_dispatch_ns");
-  telemetry_.writev_iovecs =
-      metrics_.GetHistogram("vfps_net_writev_iovecs");
   telemetry_.flush_bytes = metrics_.GetHistogram("vfps_net_flush_bytes");
   telemetry_.payloads_formatted =
       metrics_.GetCounter("vfps_net_payloads_formatted_total");
@@ -404,32 +392,19 @@ void PubSubServer::ApplyResults(int* handled) {
   for (JobResult& result : batch) {
     *handled += result.handled;
     for (OutputOp& op : result.ops) {
-      const size_t bytes =
-          op.text.size() + (op.payload ? op.payload->size() : 0);
       auto it = connections_.find(op.conn);
       if (it == connections_.end()) {
         // Recipient already closed: the emitted bytes will never be
         // written, so retire them from the ledger here.
-        SubOutBytes(bytes);
+        SubOutBytes(op.text.size());
         continue;
       }
       Connection* conn = it->second.get();
-      if (!op.text.empty()) {
-        if (conn->tail.empty()) {
-          conn->tail = std::move(op.text);  // steal the worker's buffer
-        } else {
-          conn->tail += op.text;
-        }
+      if (conn->out.empty()) {
+        conn->out = std::move(op.text);  // steal the worker's buffer
+      } else {
+        conn->out += op.text;
       }
-      if (op.payload) {
-        if (op.payload->size() < kInlinePayloadBytes) {
-          conn->tail += *op.payload;
-        } else {
-          SealTail(conn);
-          conn->chunks.push_back(OutChunk{std::move(op.payload), 0});
-        }
-      }
-      conn->out_bytes += bytes;
       Touch(conn);
     }
     auto it = connections_.find(result.origin);
@@ -445,15 +420,8 @@ void PubSubServer::ApplyResults(int* handled) {
   }
 }
 
-void PubSubServer::SealTail(Connection* conn) {
-  if (conn->tail.empty()) return;
-  conn->chunks.push_back(OutChunk{
-      std::make_shared<const std::string>(std::move(conn->tail)), 0});
-  conn->tail.clear();
-}
-
 bool PubSubServer::FlushWrites(Connection* conn) {
-  if (conn->tail.empty() && conn->chunks.empty()) {
+  if (conn->unsent() == 0) {
     return true;  // no-op flush: don't trip failpoints
   }
   size_t budget = std::numeric_limits<size_t>::max();
@@ -470,53 +438,31 @@ bool PubSubServer::FlushWrites(Connection* conn) {
       budget = static_cast<size_t>(fp.arg);
     }
   }
-  SealTail(conn);
   size_t flushed = 0;
   bool alive = true;
-  while (!conn->chunks.empty() && flushed < budget) {
-    iovec iov[kMaxFlushIovecs];
-    int iov_count = 0;
-    size_t batch_bytes = 0;
-    for (const OutChunk& chunk : conn->chunks) {
-      if (iov_count == kMaxFlushIovecs || flushed + batch_bytes >= budget) {
-        break;
-      }
-      size_t len = chunk.data->size() - chunk.offset;
-      len = std::min(len, budget - flushed - batch_bytes);
-      iov[iov_count].iov_base =
-          const_cast<char*>(chunk.data->data() + chunk.offset);
-      iov[iov_count].iov_len = len;
-      ++iov_count;
-      batch_bytes += len;
-    }
-    if (iov_count == 0) break;
-    telemetry_.writev_iovecs->Record(iov_count);
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<size_t>(iov_count);
-    ssize_t n = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
+  while (conn->unsent() > 0 && flushed < budget) {
+    const size_t len = std::min(conn->unsent(), budget - flushed);
+    ssize_t n = ::send(conn->fd, conn->out.data() + conn->out_off, len,
+                       MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       alive = false;  // peer gone
       break;
     }
-    size_t advance = static_cast<size_t>(n);
-    flushed += advance;
-    while (advance > 0) {
-      OutChunk& front = conn->chunks.front();
-      const size_t remaining = front.data->size() - front.offset;
-      if (advance >= remaining) {
-        advance -= remaining;
-        conn->chunks.pop_front();
-      } else {
-        front.offset += advance;
-        advance = 0;
-      }
-    }
-    if (static_cast<size_t>(n) < batch_bytes) break;  // socket full
+    conn->out_off += static_cast<size_t>(n);
+    flushed += static_cast<size_t>(n);
+    if (static_cast<size_t>(n) < len) break;  // socket full
   }
-  conn->out_bytes -= flushed;
+  if (conn->unsent() == 0) {
+    conn->out.clear();
+    conn->out_off = 0;
+  } else if (conn->out_off > conn->out.size() / 2) {
+    // Drop the sent prefix once it outweighs the unsent rest, so each
+    // byte moves at most about once more however a backlog drains.
+    conn->out.erase(0, conn->out_off);
+    conn->out_off = 0;
+  }
   SubOutBytes(flushed);
   if (flushed > 0) {
     telemetry_.flush_bytes->Record(static_cast<int64_t>(flushed));
@@ -526,7 +472,7 @@ bool PubSubServer::FlushWrites(Connection* conn) {
 
 void PubSubServer::UpdateInterest(Connection* conn) {
   const bool want_read = !conn->stalled;
-  const bool want_write = conn->out_bytes > 0;
+  const bool want_write = conn->unsent() > 0;
   if (want_read == conn->want_read && want_write == conn->want_write) {
     return;
   }
@@ -539,7 +485,7 @@ void PubSubServer::CloseConnection(uint64_t key) {
   auto it = connections_.find(key);
   if (it == connections_.end()) return;
   Connection* conn = it->second.get();
-  SubOutBytes(conn->out_bytes);
+  SubOutBytes(conn->unsent());
   poller_->Del(conn->fd);
   ::close(conn->fd);
   connections_.erase(it);
@@ -681,7 +627,7 @@ Result<int> PubSubServer::RunOnce(int timeout_ms) {
     if (!dead) dead = !FlushWrites(conn);
     if (!dead && conn->doomed) dead = true;
     if (!dead && options_.max_write_queue_bytes > 0 &&
-        conn->out_bytes > options_.max_write_queue_bytes) {
+        conn->unsent() > options_.max_write_queue_bytes) {
       telemetry_.slow_consumer_disconnects->Inc();
       dead = true;
     }
@@ -792,17 +738,16 @@ void PubSubServer::EmitErr(WorkerConn* wc, std::string_view message) {
 
 void PubSubServer::ResetPayloadCache() {
   last_event_ = nullptr;
-  last_payload_.reset();
+  last_payload_.clear();
 }
 
 void PubSubServer::EmitEvent(WorkerConn* wc, const Notification& n) {
   if (n.event != last_event_) {
-    last_payload_ = std::make_shared<const std::string>(
-        FormatEventText(*n.event, broker_.schema()) + "\n");
+    last_payload_ = FormatEventText(*n.event, broker_.schema());
+    last_payload_.push_back('\n');
     last_event_ = n.event;
     telemetry_.payloads_formatted->Inc();
   }
-  const std::string& body = *last_payload_;
   ++pending_payload_refs_;
   // "EVENT <sub> <eid> " formatted straight into a stack buffer: the
   // header is the only per-recipient bytes, so it must not allocate.
@@ -813,24 +758,10 @@ void PubSubServer::EmitEvent(WorkerConn* wc, const Notification& n) {
   p = std::to_chars(p + 1, p + 21, n.event_id).ptr;
   *p = ' ';
   const size_t head_len = static_cast<size_t>(p + 1 - head);
-  pending_out_bytes_ += head_len + body.size();
-  if (body.size() < kInlinePayloadBytes) {
-    // Small event: the rendered body is shared within the job (formatted
-    // once) but delivered by copy, coalesced into the recipient's open op.
-    std::string& text = OpenTextFor(wc);
-    text.append(head, head_len);
-    text.append(body);
-  } else {
-    // Large event: one refcounted buffer rides every recipient's queue.
-    OutputOp op;
-    op.conn = wc->id;
-    op.text.assign(head, head_len);
-    op.payload = last_payload_;
-    cur_result_->ops.push_back(std::move(op));
-    // The payload op closes the coalescing run: later text for this
-    // connection must order after the payload, so it opens a fresh op.
-    wc->op_epoch = 0;
-  }
+  pending_out_bytes_ += head_len + last_payload_.size();
+  std::string& text = OpenTextFor(wc);
+  text.append(head, head_len);
+  text.append(last_payload_);
 }
 
 bool PubSubServer::ShedPublishes() const {
@@ -1041,8 +972,8 @@ void PubSubServer::DispatchRequest(WorkerConn* wc, const Request& request) {
       return;
     case Request::Kind::kMetrics: {
       // Already on the match worker: export directly (the public
-      // ExportMetrics* entry points submit a job and wait — calling them
-      // here would self-deadlock the single worker).
+      // ExportMetrics* entry points Quiesce the worker first — calling
+      // them from a job would wait on that job itself).
       if (request.body == "PROM") {
         // Multi-line export: "OK <n>" then n raw text-format lines.
         std::string text = metrics_.ExportPrometheus();
@@ -1118,42 +1049,18 @@ void PubSubServer::HandleFailPoint(WorkerConn* wc, const std::string& args) {
 
 // --- metrics export ----------------------------------------------------------
 
-std::string PubSubServer::ExportViaWorker(bool json) {
-  // Gauges sample broker and matcher state, which only the worker may
-  // read while it runs.
-  struct ExportWait {
-    Mutex mu{LockRank::kNetResults, "net_export"};
-    CondVar cv;
-    bool done VFPS_GUARDED_BY(mu) = false;
-    std::string text VFPS_GUARDED_BY(mu);
-  } wait;
-  const bool submitted =
-      worker_ != nullptr &&
-      worker_->Submit([this, &wait, json] {
-        VFPS_SERIAL_SCOPE(worker_serial_);
-        std::string text =
-            json ? metrics_.ExportJson() : metrics_.ExportPrometheus();
-        MutexLock lock(wait.mu);
-        wait.text = std::move(text);
-        wait.done = true;
-        wait.cv.NotifyAll();
-      });
-  if (!submitted) {
-    // Worker already shut down (destruction path): nothing else can be
-    // executing, so a direct export is serial.
-    return json ? metrics_.ExportJson() : metrics_.ExportPrometheus();
-  }
-  MutexLock lock(wait.mu);
-  while (!wait.done) wait.cv.Wait(wait.mu);
-  return std::move(wait.text);
-}
-
 std::string PubSubServer::ExportMetricsJson() {
-  return ExportViaWorker(/*json=*/true);
+  // Gauges sample broker and matcher state, which only the match worker
+  // may read while it runs; the worker is idle once Quiesce returns.
+  Quiesce();
+  VFPS_SERIAL_SCOPE(worker_serial_);
+  return metrics_.ExportJson();
 }
 
 std::string PubSubServer::ExportMetricsProm() {
-  return ExportViaWorker(/*json=*/false);
+  Quiesce();
+  VFPS_SERIAL_SCOPE(worker_serial_);
+  return metrics_.ExportPrometheus();
 }
 
 }  // namespace vfps

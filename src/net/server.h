@@ -12,26 +12,25 @@
 //   nonblocking accept + read                          per-connection protocol
 //   extracts complete lines  ── lines job ──────────▶  state; runs every verb
 //   applies posted results  ◀── results + wake pipe ── in connection FIFO order
-//   vectored writev flush, slow-consumer cap,          formats each fan-out
+//   flat-buffer send flush, slow-consumer cap,         formats each fan-out
 //   deadline-heap idle reap                            payload exactly once
 //
 // The loop never parses or matches; the worker never touches a socket. The
 // two meet at a small result queue (LockRank::kNetResults) plus the wake
-// pipe. EVENT fan-out is zero-copy: the worker renders one refcounted
-// payload per event and emits per-subscriber (header, payload-ref) pairs;
-// the loop queues the shared buffer on every recipient and flushes with
-// writev. Stop() is safe from any thread (release/acquire stop flag +
-// self-pipe wakeup). Under VFPS_DEBUG_INVARIANTS, RunOnce and the worker
-// jobs each open a VFPS_SERIAL_SCOPE (src/util/sync.h) on their own
-// checker: two threads driving either side abort with both entry points
-// named.
+// pipe. EVENT fan-out formats each event's payload once per publish; the
+// worker copies it, behind a per-subscriber header, into each recipient's
+// coalesced text op, and the loop appends that op to the connection's one
+// contiguous outbound buffer and flushes it with send(). Stop() is safe
+// from any thread (release/acquire stop flag + self-pipe wakeup). Under
+// VFPS_DEBUG_INVARIANTS, RunOnce and the worker jobs each open a
+// VFPS_SERIAL_SCOPE (src/util/sync.h) on their own checker: two threads
+// driving either side abort with both entry points named.
 
 #ifndef VFPS_NET_SERVER_H_
 #define VFPS_NET_SERVER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <queue>
 #include <string>
@@ -139,35 +138,28 @@ class PubSubServer {
   MetricsRegistry& metrics() { return metrics_; }
 
   /// Renders the registry. These are what the METRICS verb answers with;
-  /// exposed for in-process use (tools dumping periodic snapshots, tests).
-  /// Thread-safe: the export runs as a job on the match worker (so it never
-  /// races request execution) and the caller blocks until it completes.
+  /// exposed for in-process use (tools dumping periodic snapshots). Call
+  /// only from the thread that drives RunOnce, or after Stop(): the export
+  /// first Quiesce()s the match worker, and since only RunOnce submits
+  /// work, the worker stays idle while the registry's gauges sample broker
+  /// state.
   std::string ExportMetricsJson();
   std::string ExportMetricsProm();
 
  private:
-  /// One queued slice of outbound bytes. EVENT fan-out payloads are shared
-  /// between every recipient's queue (formatted once, refcounted);
-  /// response text is sealed from the connection's open tail.
-  struct OutChunk {
-    std::shared_ptr<const std::string> data;
-    size_t offset = 0;
-  };
-
   /// Loop-owned per-connection state: socket, inbound reassembly, and the
-  /// outbound chunk queue. The protocol state (subscriptions, PUBBATCH
+  /// outbound buffer. The protocol state (subscriptions, PUBBATCH
   /// collection) lives worker-side in WorkerConn.
   struct Connection {
     uint64_t id = 0;
     int fd = -1;
     LineBuffer in;
-    /// Sealed outbound slices, flushed with writev.
-    std::deque<OutChunk> chunks;
-    /// Open text accumulation (responses, EVENT headers, small payloads);
-    /// sealed into a chunk before each flush.
-    std::string tail;
-    /// tail + unsent chunk bytes (the slow-consumer cap input).
-    size_t out_bytes = 0;
+    /// Outbound bytes (responses and EVENT pushes); out[0, out_off) is
+    /// already sent. Compacted once out_off passes half of out.
+    std::string out;
+    size_t out_off = 0;
+    /// Queued, unsent bytes (the slow-consumer cap input).
+    size_t unsent() const { return out.size() - out_off; }
     /// Lines jobs submitted but not yet result-applied (backpressure).
     int inflight = 0;
     /// Read interest dropped while inflight is at the cap.
@@ -208,12 +200,11 @@ class PubSubServer {
     uint64_t op_epoch = 0;
   };
 
-  /// One outbound emission from the worker: raw text appended to the
-  /// recipient's tail, plus an optional shared fan-out payload.
+  /// One outbound emission from the worker: text appended to the
+  /// recipient's outbound buffer.
   struct OutputOp {
     uint64_t conn = 0;
     std::string text;
-    std::shared_ptr<const std::string> payload;
   };
 
   /// What one lines job hands back to the loop.
@@ -241,7 +232,6 @@ class PubSubServer {
     // vfps_net_* event-loop instruments (docs/OBSERVABILITY.md).
     Histogram* wait_ns = nullptr;
     Histogram* dispatch_ns = nullptr;
-    Histogram* writev_iovecs = nullptr;
     Histogram* flush_bytes = nullptr;
     Counter* payloads_formatted = nullptr;
     Counter* payload_refs = nullptr;
@@ -260,11 +250,8 @@ class PubSubServer {
   /// Applies every posted JobResult: queues output, dooms connections,
   /// releases inflight slots. Accumulates into `handled` and touched_.
   void ApplyResults(int* handled);
-  /// Seals the open tail into a chunk (no-op when empty).
-  void SealTail(Connection* conn);
-  /// Writes as much of the chunk queue as the socket accepts, batching up
-  /// to kMaxFlushIovecs slices per writev. Returns false if the
-  /// connection died.
+  /// Writes as much of the outbound buffer as the socket accepts. Returns
+  /// false if the connection died.
   bool FlushWrites(Connection* conn);
   /// Re-registers poller interest to match the connection's state.
   void UpdateInterest(Connection* conn);
@@ -287,11 +274,10 @@ class PubSubServer {
   /// Parses + publishes a completed PUBBATCH collection and emits the
   /// "OK <n>" + per-event payload reply.
   int FinishPublishBatch(WorkerConn* wc);
-  /// The open (payload-free) OutputOp text for `wc`, creating one if the
-  /// connection's most recent op this job carries a payload (or none
-  /// exists). Consecutive emissions for one connection coalesce into a
-  /// single op — under fan-out this collapses per-delivery op overhead
-  /// into one op per recipient per job.
+  /// The OutputOp text for `wc` in the running job, creating it on the
+  /// connection's first emission of the job. Every emission for one
+  /// connection coalesces into that single op — under fan-out this
+  /// collapses per-delivery op overhead into one op per recipient per job.
   std::string& OpenTextFor(WorkerConn* wc);
   /// Emits `line` + '\n' for `wc` (tracking the global backlog).
   void EmitLine(WorkerConn* wc, std::string_view line);
@@ -299,11 +285,10 @@ class PubSubServer {
   void EmitRaw(WorkerConn* wc, std::string text);
   /// Emits an ERR response and counts it.
   void EmitErr(WorkerConn* wc, std::string_view message);
-  /// Emits one EVENT push: per-subscriber header + the shared payload for
-  /// this event (formatted once per event per publish). Small payloads are
-  /// appended into the recipient's open op; large ones ride as a
-  /// refcounted chunk shared across all recipients. `wc` is the stable
-  /// worker_conns_ node captured by the subscription handler.
+  /// Emits one EVENT push: per-subscriber header + the payload for this
+  /// event (formatted once per event per publish, then copied into the
+  /// recipient's op). `wc` is the stable worker_conns_ node captured by
+  /// the subscription handler.
   void EmitEvent(WorkerConn* wc, const Notification& n);
   /// Forgets the cached payload (see last_event_).
   void ResetPayloadCache();
@@ -316,8 +301,6 @@ class PubSubServer {
   bool ShedPublishes() const;
   /// Posts the finished result and wakes the loop.
   void PostResult(JobResult result);
-  /// Exports the registry on the match worker and waits for the text.
-  std::string ExportViaWorker(bool json);
 
   // --- shared byte ledger ----------------------------------------------------
 
@@ -379,7 +362,7 @@ class PubSubServer {
   /// (every id is 0 when events are not stored); reset before each publish
   /// because a parsed Event may reuse the previous one's address.
   const Event* last_event_ = nullptr;
-  std::shared_ptr<const std::string> last_payload_;
+  std::string last_payload_;
   /// Monotone job counter validating WorkerConn::op_epoch (starts at 1 so
   /// a fresh WorkerConn's epoch 0 never matches).
   uint64_t job_epoch_ = 1;

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <thread>
 
 #include "src/net/client.h"
@@ -145,6 +146,41 @@ TEST(ProtocolTest, FormatsEventWithNames) {
 }
 
 // --- End-to-end over loopback ------------------------------------------------------
+
+TEST(ServerExportTest, ExportFromTheRunOnceThreadSeesEveryExecutedRequest) {
+  // The caller drives RunOnce itself (as vfps_server does for periodic
+  // dumps) and exports between rounds while a client's requests are in
+  // flight on the match worker.
+  PubSubServer server;
+  ASSERT_TRUE(server.Start().ok());
+  std::atomic<bool> client_done{false};
+  std::thread client_thread([&] {
+    [&] {
+      auto client = PubSubClient::Connect("127.0.0.1", server.port());
+      ASSERT_TRUE(client.ok()) << client.status().ToString();
+      ASSERT_TRUE(client.value().Subscribe("k = 1").ok());
+      for (int i = 0; i < 20; ++i) {
+        ASSERT_TRUE(client.value().Publish("k = 1").ok());
+      }
+    }();
+    client_done.store(true, std::memory_order_release);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!client_done.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    ASSERT_TRUE(server.RunOnce(5).ok());
+    EXPECT_FALSE(server.ExportMetricsJson().empty());
+  }
+  client_thread.join();
+  // Every acknowledged publish has executed, so the export counts all 20.
+  const std::string json = server.ExportMetricsJson();
+  EXPECT_NE(json.find("\"vfps_broker_publishes_total\":20"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(server.ExportMetricsProm().find("vfps_broker_publishes_total 20"),
+            std::string::npos);
+}
 
 class ServerClientTest : public ::testing::Test {
  protected:
@@ -910,49 +946,65 @@ TEST_F(ServerClientTest, SlowConsumerDisconnectedAtWriteQueueCap) {
       << metrics.value();
 }
 
-TEST_F(ServerClientTest, VectoredShortWritesResumeMidFrameWithoutTearing) {
-  RawConn subscriber(server_->port());
-  ASSERT_TRUE(subscriber.connected());
-  subscriber.WriteAll("SUB k = 1\n");
-  auto sub_ok = subscriber.ReadLine();
-  ASSERT_TRUE(sub_ok.has_value());
-  EXPECT_EQ(sub_ok->rfind("OK ", 0), 0u);
+TEST_F(ServerClientTest, ShortWritesResumeMidFrameWithoutTearing) {
+  // Two recipients of the same events: each payload is formatted once and
+  // copied into both connections' outbound buffers, which must drain
+  // independently.
+  std::vector<std::unique_ptr<RawConn>> subscribers;
+  std::vector<std::string> sub_ids;
+  for (int s = 0; s < 2; ++s) {
+    subscribers.push_back(std::make_unique<RawConn>(server_->port()));
+    ASSERT_TRUE(subscribers.back()->connected());
+    subscribers.back()->WriteAll("SUB k = 1\n");
+    auto sub_ok = subscribers.back()->ReadLine();
+    ASSERT_TRUE(sub_ok.has_value());
+    ASSERT_EQ(sub_ok->rfind("OK ", 0), 0u);
+    sub_ids.push_back(sub_ok->substr(3));
+  }
   RawConn publisher(server_->port());
   ASSERT_TRUE(publisher.connected());
 
-  // Alternate small and large payloads: small bodies coalesce into the
-  // recipient's contiguous tail, large ones ride shared refcounted chunks,
-  // so the flush queue interleaves both slice kinds. A 150-byte write
-  // budget then cuts sendmsg mid-iovec (inside a large payload and across
-  // slice boundaries) for eight consecutive flushes; every frame must
-  // still arrive exactly once, intact and in order.
+  // Alternate 600-byte and small payloads (~5 KB queued per subscriber).
+  // A 150-byte write budget for eight consecutive flushes cuts the sends
+  // mid-frame (inside a large payload and across frame boundaries). A
+  // 2000-byte budget for six flushes sends more than half of a
+  // subscriber's buffer before the rest, so the sent prefix is compacted
+  // away mid-frame. Either way every frame must arrive exactly once at
+  // each subscriber, intact and in order.
   const std::string pad(600, 'x');
   std::vector<std::string> bodies;
   for (int i = 0; i < 16; ++i) {
     bodies.push_back(i % 2 == 0 ? "k = 1, pad = '" + pad + "'" : "k = 1");
   }
-  ASSERT_TRUE(FailPoints::Global().Set("server.write", "partial:150%8").ok());
   std::string request = "PUBBATCH 16\n";
   for (const std::string& body : bodies) request += body + "\n";
-  publisher.WriteAll(request);
+  for (const char* spec : {"partial:150%8", "partial:2000%6"}) {
+    SCOPED_TRACE(spec);
+    ASSERT_TRUE(FailPoints::Global().Set("server.write", spec).ok());
+    publisher.WriteAll(request);
 
-  auto header = publisher.ReadLine(5000);
-  ASSERT_TRUE(header.has_value());
-  EXPECT_EQ(*header, "OK 16");
-  std::vector<std::string> eids;
-  for (int i = 0; i < 16; ++i) {
-    auto line = publisher.ReadLine(5000);
-    ASSERT_TRUE(line.has_value()) << "missing batch reply " << i;
-    eids.push_back(line->substr(0, line->find(' ')));
+    auto header = publisher.ReadLine(5000);
+    ASSERT_TRUE(header.has_value());
+    EXPECT_EQ(*header, "OK 16");
+    std::vector<std::string> eids;
+    for (int i = 0; i < 16; ++i) {
+      auto line = publisher.ReadLine(5000);
+      ASSERT_TRUE(line.has_value()) << "missing batch reply " << i;
+      eids.push_back(line->substr(0, line->find(' ')));
+    }
+    for (size_t s = 0; s < subscribers.size(); ++s) {
+      for (int i = 0; i < 16; ++i) {
+        auto line = subscribers[s]->ReadLine(5000);
+        ASSERT_TRUE(line.has_value())
+            << "subscriber " << s << " missing EVENT " << i;
+        EXPECT_EQ(*line, "EVENT " + sub_ids[s] + " " +
+                             eids[static_cast<size_t>(i)] + " " +
+                             bodies[static_cast<size_t>(i)]);
+      }
+      // No duplicated frames after the resumed writes.
+      EXPECT_FALSE(subscribers[s]->ReadLine(200).has_value());
+    }
   }
-  for (int i = 0; i < 16; ++i) {
-    auto line = subscriber.ReadLine(5000);
-    ASSERT_TRUE(line.has_value()) << "missing EVENT " << i;
-    EXPECT_EQ(*line, "EVENT 1 " + eids[static_cast<size_t>(i)] + " " +
-                         bodies[static_cast<size_t>(i)]);
-  }
-  // No duplicated frames after the resumed writes.
-  EXPECT_FALSE(subscriber.ReadLine(200).has_value());
 }
 
 TEST_F(ServerClientTest, SlowConsumerDisconnectLeavesHealthySubscriberDelivering) {

@@ -96,9 +96,10 @@ int main(int argc, char** argv) {
   if (dump_interval <= 0) {
     server.RunUntilStopped();
   } else {
-    // Drive the event loop ourselves to interleave periodic dumps.
-    // ExportMetricsJson runs as a job on the server's match worker, so
-    // dumps never race request handling.
+    // Drive the event loop ourselves to interleave periodic dumps. This
+    // thread is the only one that submits match work, and
+    // ExportMetricsJson quiesces the match worker before it reads the
+    // registry, so dumps never race request handling.
     auto last_dump = std::chrono::steady_clock::now();
     while (!server.stop_requested()) {
       vfps::Result<int> r = server.RunOnce(250);
@@ -113,7 +114,6 @@ int main(int argc, char** argv) {
         DumpMetrics(&server, dump_path);
       }
     }
-    server.Quiesce();  // settle in-flight requests before the final dump
     DumpMetrics(&server, dump_path);  // final snapshot on shutdown
   }
   std::printf("shut down: %zu subscriptions, %zu stored events\n",
